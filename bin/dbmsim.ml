@@ -770,6 +770,13 @@ let serve_bench_cmd =
       prerr_endline "serve-bench: --cross-frac needs --shards > 1";
       exit 2
     end;
+    List.iter
+      (fun (flag, us) ->
+        if not (Float.is_finite us && us >= 0.0) then begin
+          prerr_endline ("serve-bench: --" ^ flag ^ " must be non-negative and finite");
+          exit 2
+        end)
+      [ ("op-cost-us", op_cost); ("sync-cost-us", sync_cost) ];
     let module W = Dbm_workload.Workload in
     let module Hist = Dbm_util.Stats.Histogram in
     let module Sch = Dbm_storage.Scheduler in

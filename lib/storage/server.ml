@@ -30,27 +30,40 @@ type result = {
    passes far below this. *)
 let idle_pass_limit = 1_000_000
 
+let validate ~who ~mpl ~op_cost_us ~arrivals_us ~scripts =
+  if mpl < 1 then invalid_arg (who ^ ": mpl must be >= 1");
+  if not (op_cost_us >= 0.0 && Float.is_finite op_cost_us) then
+    invalid_arg (who ^ ": op_cost_us must be non-negative and finite");
+  if Array.length scripts <> Array.length arrivals_us then
+    invalid_arg (who ^ ": arrivals and scripts must have equal length");
+  Array.iteri
+    (fun i a ->
+      if not (Float.is_finite a && a >= 0.0 && (i = 0 || a >= arrivals_us.(i - 1))) then
+        invalid_arg (who ^ ": arrival times must be finite, non-negative, non-decreasing"))
+    arrivals_us
+
 module Make (E : ENGINE) = struct
   module Sch = Scheduler.Make (E)
   module Pipe = Commit_pipeline.Make (E)
 
-  let run ?(mpl = 64) ?(op_cost_us = 1.0) ?(sync_cost_us = 100.0) ?snapshot ?read_mode
-      ?read_only ?ro_hist ?rw_hist ~mode ~arrivals_us ~scripts engine =
-    if mpl < 1 then invalid_arg "Server.run: mpl must be >= 1";
-    if not (op_cost_us >= 0.0 && Float.is_finite op_cost_us) then
-      invalid_arg "Server.run: op_cost_us must be non-negative and finite";
-    let n = Array.length arrivals_us in
-    if Array.length scripts <> n then
-      invalid_arg "Server.run: arrivals and scripts must have equal length";
-    (match read_only with
-    | Some ro when Array.length ro <> n ->
-      invalid_arg "Server.run: read_only and scripts must have equal length"
-    | _ -> ());
-    Array.iteri
-      (fun i a ->
-        if not (Float.is_finite a && a >= 0.0 && (i = 0 || a >= arrivals_us.(i - 1))) then
-          invalid_arg "Server.run: arrival times must be finite, non-negative, non-decreasing")
-      arrivals_us;
+  type part = {
+    is_cross : int -> bool;
+    prepare : E.txn -> gid:int -> now:float -> unit;
+    decision : int -> float;
+    await : int -> unit;
+  }
+
+  let solo =
+    {
+      is_cross = (fun _ -> false);
+      prepare = (fun _ ~gid:_ ~now:_ -> ());
+      decision = (fun _ -> Float.nan);
+      await = ignore;
+    }
+
+  let serve ?snapshot ?read_mode ?read_only ?ro_hist ?rw_hist ~mpl ~op_cost_us ~sync_cost_us
+      ~mode ~part ~arrivals_us ~ids ~scripts engine =
+    let n = Array.length ids in
     let is_ro id = match read_only with Some ro -> ro.(id) | None -> false in
     let now = ref 0.0 in
     (* Callers sweeping many points may pass recycled (cleared)
@@ -60,6 +73,7 @@ module Make (E : ENGINE) = struct
     let ro_hist = fresh_or ro_hist in
     let rw_hist = fresh_or rw_hist in
     let acked = ref 0 in
+    let prepares = ref 0 in
     let pipe =
       Pipe.create ~sync_cost_us
         ~on_ack:(fun ~id ~now ->
@@ -69,13 +83,28 @@ module Make (E : ENGINE) = struct
           incr acked)
         mode engine
     in
-    (* The commit sink: every finishing task commits through the shared
-       pipeline, on the server clock.  Snapshot-path read-only tasks
-       never reach it — they have no transaction and nothing needing
-       durability; their ack is their final step (below). *)
+    (* The prepared-but-undecided cross slice, at most one (admission
+       gate below). *)
+    let slot : (int * E.txn) option ref = ref None in
+    (* The commit sink: a cross slice's commit is its durable vote — one
+       charged force, whatever the engine forces underneath, as eager
+       commit is charged — after which it sits in [slot] holding its
+       locks ([hold]) until the decision.  Every other finishing task
+       commits through the shared pipeline, on the server clock.
+       Snapshot-path read-only tasks never reach the sink — they have
+       no transaction and nothing needing durability; their ack is
+       their final step (below). *)
     let ex =
       Sch.Exec.create
-        ~commit:(fun ~id txn -> now := Pipe.submit pipe ~now:!now ~id txn)
+        ~commit:(fun ~id txn ->
+          if part.is_cross id then begin
+            now := !now +. sync_cost_us;
+            part.prepare txn ~gid:id ~now:!now;
+            incr prepares;
+            slot := Some (id, txn)
+          end
+          else now := Pipe.submit pipe ~now:!now ~id txn)
+        ~hold:(fun ~id -> part.is_cross id)
         ?snapshot ?read_mode engine
     in
     let waitq : int Queue.t = Queue.create () in
@@ -86,23 +115,32 @@ module Make (E : ENGINE) = struct
     let max_inflight = ref 0 in
     let max_queued = ref 0 in
     let idle_passes = ref 0 in
+    (* A cross slice is in flight from admission (executing, restarting,
+       or prepared in [slot]) until its decision is applied. *)
+    let cross_inflight = ref false in
     (* Admission control: a transaction is in flight from admission
        until its durable ack; at most [mpl] may be in flight, and the
        overflow waits in an unbounded FIFO — arrivals are delayed, never
        dropped. *)
     let in_flight () = !spawned - !acked in
     let pump_arrivals () =
-      while !next < n && arrivals_us.(!next) <= !now do
+      while !next < n && arrivals_us.(ids.(!next)) <= !now do
         Queue.push !next waitq;
         incr next;
         if Queue.length waitq > !max_queued then max_queued := Queue.length waitq
       done
     in
+    (* At most one cross slice in flight: FIFO admission stalls at the
+       next one (and everything behind it waits) until the decision
+       lands — the gid-order gate the 2PC progress argument needs. *)
+    let gated () = !cross_inflight && part.is_cross ids.(Queue.peek waitq) in
     let admit () =
-      while (not (Queue.is_empty waitq)) && in_flight () < mpl do
-        let id = Queue.pop waitq in
+      while (not (Queue.is_empty waitq)) && in_flight () < mpl && not (gated ()) do
+        let i = Queue.pop waitq in
+        let id = ids.(i) in
+        if part.is_cross id then cross_inflight := true;
         let task =
-          Sch.Exec.spawn ex ~read_only:(is_ro id) ~index:(!spawned mod mpl) ~id scripts.(id)
+          Sch.Exec.spawn ex ~read_only:(is_ro id) ~index:(!spawned mod mpl) ~id scripts.(i)
         in
         if is_ro id then ro_tasks := task :: !ro_tasks;
         Queue.push (task, id) runq;
@@ -110,12 +148,32 @@ module Make (E : ENGINE) = struct
         if in_flight () > !max_inflight then max_inflight := in_flight ()
       done
     in
+    (* Apply a landed decision: local decision record (unforced — the
+       coordinator record is the durable truth, recovery resolves from
+       it), release the slice's locks, ack at the decision instant. *)
+    let apply_decision () =
+      match !slot with
+      | Some (gid, txn) ->
+        let dt = part.decision gid in
+        if Float.is_nan dt then false
+        else begin
+          E.commit_group txn;
+          Sch.Exec.release_locks ex ~id:gid;
+          slot := None;
+          cross_inflight := false;
+          now := Float.max !now dt +. op_cost_us;
+          incr acked;
+          true
+        end
+      | None -> false
+    in
     (* A snapshot-path read-only commit is its ack: no transaction, no
        pipeline, latency is arrival to final step. *)
     let snapshot_path = snapshot <> None in
     while !acked < n do
       pump_arrivals ();
       now := Pipe.poll pipe ~now:!now;
+      if apply_decision () then idle_passes := 0;
       admit ();
       (* One round-robin pass.  A turn that did work (an operation, a
          restart's rollback, a commit append) costs [op_cost_us]; the
@@ -140,23 +198,28 @@ module Make (E : ENGINE) = struct
       if !progressed then idle_passes := 0
       else begin
         (* Nothing ran.  Jump the clock to the next event — the pending
-           batch's timeout or the next arrival — and only if there is
-           none, spin the backoff/wake machinery under a livelock
-           guard. *)
+           batch's timeout or the next arrival.  Failing that, sleep
+           until the prepared slice's decision lands, and only with
+           nothing to wait for spin the backoff/wake machinery under a
+           livelock guard. *)
         let next_event =
           let d = match Pipe.deadline pipe with Some d -> d | None -> Float.infinity in
-          let a = if !next < n then arrivals_us.(!next) else Float.infinity in
+          let a = if !next < n then arrivals_us.(ids.(!next)) else Float.infinity in
           Float.min d a
         in
         if next_event > !now && Float.is_finite next_event then begin
           now := next_event;
           idle_passes := 0
         end
-        else begin
-          incr idle_passes;
-          if !idle_passes > idle_pass_limit then
-            failwith "Server.run: no progress (livelock or undetected deadlock)"
-        end
+        else
+          match !slot with
+          | Some (gid, _) ->
+            part.await gid;
+            idle_passes := 0
+          | None ->
+            incr idle_passes;
+            if !idle_passes > idle_pass_limit then
+              failwith "Server.serve: no progress (livelock or undetected deadlock)"
       end
     done;
     let makespan_us = !now in
@@ -166,7 +229,7 @@ module Make (E : ENGINE) = struct
       sustained_tps = (if makespan_us > 0.0 then float_of_int n /. makespan_us *. 1e6 else Float.infinity);
       restarts = Sch.Exec.restarts ex;
       ro_restarts = List.fold_left (fun acc t -> acc + Sch.Exec.task_restarts t) 0 !ro_tasks;
-      forces = Pipe.forces pipe;
+      forces = Pipe.forces pipe + !prepares;
       max_inflight = !max_inflight;
       max_queued = !max_queued;
       lock_acquires = Sch.Exec.lock_acquires ex;
@@ -174,4 +237,15 @@ module Make (E : ENGINE) = struct
       ro_latency_us = ro_hist;
       rw_latency_us = rw_hist;
     }
+
+  let run ?(mpl = 64) ?(op_cost_us = 1.0) ?(sync_cost_us = 100.0) ?snapshot ?read_mode
+      ?read_only ?ro_hist ?rw_hist ~mode ~arrivals_us ~scripts engine =
+    validate ~who:"Server.run" ~mpl ~op_cost_us ~arrivals_us ~scripts;
+    let n = Array.length scripts in
+    (match read_only with
+    | Some ro when Array.length ro <> n ->
+      invalid_arg "Server.run: read_only and scripts must have equal length"
+    | _ -> ());
+    serve ?snapshot ?read_mode ?read_only ?ro_hist ?rw_hist ~mpl ~op_cost_us ~sync_cost_us ~mode
+      ~part:solo ~arrivals_us ~ids:(Array.init n Fun.id) ~scripts engine
 end

@@ -13,9 +13,13 @@
     Decomposition: {!Scheduler.Make.Exec} executes operations under
     strict 2PL (admission-independent core); this module owns the
     clock, the arrival queue and the admission bound; the pipeline owns
-    durability.  Costs are simulated — [op_cost_us] per executed
-    operation (or rollback, or commit append), [sync_cost_us] per log
-    force — so runs are deterministic and machine-independent.
+    durability.  {!Make.serve} is the only serving loop in the
+    repository: {!Make.run} is its lone-server case, and each domain of
+    the sharded server ({!Shard}) runs it over its own slice of the
+    transactions with a two-phase-commit {!Make.part}.  Costs are
+    simulated — [op_cost_us] per executed operation (or rollback, or
+    commit append), [sync_cost_us] per log force — so runs are
+    deterministic and machine-independent.
 
     Backpressure never drops work: an arrival that finds [mpl]
     transactions in flight waits in an unbounded FIFO, and a
@@ -53,7 +57,62 @@ type result = {
       (** read-write transactions only *)
 }
 
+val validate :
+  who:string ->
+  mpl:int ->
+  op_cost_us:float ->
+  arrivals_us:float array ->
+  scripts:Scheduler.script array ->
+  unit
+(** The argument checks {!Make.run} and {!Shard.Make.run} share: [mpl
+    >= 1], [op_cost_us] non-negative and finite, one arrival per script,
+    arrival times finite, non-negative and non-decreasing.
+    @raise Invalid_argument naming [who] when one fails. *)
+
 module Make (E : ENGINE) : sig
+  type part = {
+    is_cross : int -> bool;
+        (** [is_cross gid]: the transaction spans several servers.  Its
+            commit becomes a durable vote, its locks are held past the
+            commit, and admission keeps at most one such transaction in
+            flight. *)
+    prepare : E.txn -> gid:int -> now:float -> unit;
+        (** Cast the durable vote of a cross transaction at simulated
+            time [now] (its one force already charged). *)
+    decision : int -> float;
+        (** The decision instant of [gid], [nan] while undecided. *)
+    await : int -> unit;
+        (** Block until [gid] is decided; called only when nothing else
+            can run. *)
+  }
+  (** The two-phase-commit role a serving loop plays. *)
+
+  val solo : part
+  (** The lone server's role: no transaction is cross. *)
+
+  val serve :
+    ?snapshot:(unit -> Scheduler.view) ->
+    ?read_mode:Lock_mgr.mode ->
+    ?read_only:bool array ->
+    ?ro_hist:Dbm_util.Stats.Histogram.t ->
+    ?rw_hist:Dbm_util.Stats.Histogram.t ->
+    mpl:int ->
+    op_cost_us:float ->
+    sync_cost_us:float ->
+    mode:Commit_pipeline.mode ->
+    part:part ->
+    arrivals_us:float array ->
+    ids:int array ->
+    scripts:Scheduler.script array ->
+    E.t ->
+    result
+  (** The serving loop, unchecked: serve [scripts.(i)] as global
+      transaction [ids.(i)] ([ids] ascending) arriving at
+      [arrivals_us.(ids.(i))]; [read_only] is indexed by global id too.
+      Arguments are as {!run}'s, which validates them first.  The
+      result counts the transactions of [ids] only; [forces] includes
+      one per vote. *)
+
   val run :
     ?mpl:int ->
     ?op_cost_us:float ->

@@ -3,11 +3,12 @@
 
     The open-loop {!Server} runs one scheduler, one commit pipeline and
     one engine on one domain.  This layer partitions the key space
-    page-wise across [N] engine shards ({!Shard_router}) and runs one
-    full server loop — scheduler core, group-commit pipeline, simulated
-    clock — per shard on its own domain, so single-shard transactions
-    (the common case under a well-partitioned workload) execute fully
-    in parallel with no coordination beyond their own shard's log.
+    page-wise across [N] engine shards ({!Shard_router}) and runs the
+    server's own loop ({!Server.Make.serve}) — scheduler core,
+    group-commit pipeline, simulated clock — per shard on its own
+    domain, so single-shard transactions (the common case under a
+    well-partitioned workload) execute fully in parallel with no
+    coordination beyond their own shard's log.
 
     A transaction whose script touches pages of several shards is split
     into per-shard slices and committed with lightweight two-phase
@@ -38,9 +39,11 @@
     never have earlier cross-shard work pending, so that transaction
     always reaches its decision — the 2PC wait graph cannot cycle.
 
-    With one shard, {!Make.run} delegates verbatim to {!Server.Make}:
-    the serial point of every sweep is bit-identical to the PR 9
-    server. *)
+    The shard layer itself only routes, shares the 2PC state between
+    the loops (the coordinator {!Server.Make.part}) and sums their
+    results.  With one shard no transaction is cross, so the lone loop
+    does exactly what {!Server.Make.run} does: the serial point of every
+    sweep is bit-identical to the server by construction. *)
 
 module type ENGINE = sig
   include Server.ENGINE
@@ -67,16 +70,17 @@ type result = {
   oversubscribed : bool;
       (** shard count exceeded the host's cores, so the domains shared
           cores — wall time suffers; simulated results do not *)
+  max_inflight : int;  (** peak in-flight transactions of any one shard *)
+  max_queued : int;  (** peak admission-queue depth of any one shard *)
   latency_us : Dbm_util.Stats.Histogram.t;
       (** arrival-to-ack latency of every transaction, µs *)
   single_latency_us : Dbm_util.Stats.Histogram.t;
       (** single-shard transactions only *)
   cross_latency_us : Dbm_util.Stats.Histogram.t;
       (** cross-shard transactions only: arrival to decision force *)
-  serial : Server.result option;
-      (** the delegated {!Server.Make.run} result when [shards = 1]
-          (the bit-identity hook for the bench); [None] otherwise *)
 }
+(** Every field but the cross-shard ones equals the {!Server.result}
+    field of the same name when there is one shard. *)
 
 module Make (E : ENGINE) : sig
   val run :

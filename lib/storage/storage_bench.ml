@@ -1056,19 +1056,16 @@ let shard_serial_reference ~arrivals_us ~scripts =
   (r, shard_scan_digest ~shards:1 [| e |])
 
 let shard_serial_identical (r : Shard.result) (direct : Server.result) =
-  match r.Shard.serial with
-  | None -> false
-  | Some s ->
-    s.Server.completed = direct.Server.completed
-    && s.Server.makespan_us = direct.Server.makespan_us
-    && s.Server.restarts = direct.Server.restarts
-    && s.Server.forces = direct.Server.forces
-    && s.Server.max_inflight = direct.Server.max_inflight
-    && s.Server.max_queued = direct.Server.max_queued
-    && s.Server.lock_acquires = direct.Server.lock_acquires
-    && Hist.count s.Server.latency_us = Hist.count direct.Server.latency_us
-    && Hist.total s.Server.latency_us = Hist.total direct.Server.latency_us
-    && Hist.max s.Server.latency_us = Hist.max direct.Server.latency_us
+  r.Shard.completed = direct.Server.completed
+  && r.Shard.makespan_us = direct.Server.makespan_us
+  && r.Shard.restarts = direct.Server.restarts
+  && r.Shard.forces = direct.Server.forces
+  && r.Shard.max_inflight = direct.Server.max_inflight
+  && r.Shard.max_queued = direct.Server.max_queued
+  && r.Shard.lock_acquires = direct.Server.lock_acquires
+  && Hist.count r.Shard.latency_us = Hist.count direct.Server.latency_us
+  && Hist.total r.Shard.latency_us = Hist.total direct.Server.latency_us
+  && Hist.max r.Shard.latency_us = Hist.max direct.Server.latency_us
 
 let shard_section ~scale ~shard_counts ~cross_fracs =
   let n = 600 * scale and seed = 31_850 in

@@ -115,24 +115,15 @@ val encode_with : Wal_codec.Enc.t -> record -> string
     (the journal's copy of the record). *)
 
 val decode : string -> record
-(** Checked decode, one payload copy.  Dispatches on the tag byte:
-    lowercase tags are the {!Wal_codec} framing, uppercase tags the
-    pre-codec legacy format (fixed-width fields, 31-polynomial
-    checksum), so journals written before the codec change still
-    decode.
+(** Checked decode of the {!Wal_codec} framing, one payload copy.
     @raise Corrupt on a damaged or truncated encoding (checksum
     mismatch, bad tag, short buffer, trailing bytes). *)
-
-val encode_legacy : record -> string
-(** The pre-codec encoding, kept for mixed-version round-trip tests.
-    @raise Invalid_argument on {!Delta}/{!Op}, which postdate it. *)
 
 (** {2 Unchecked peeks}
 
     Every record shape stores its LSN at a fixed offset right after the
     tag byte, and the transaction-bearing shapes store their txn id just
-    past it — in the legacy and codec framings both — so both read in
-    O(1) without the checksum pass [decode] pays.  These trust the
+    past it, so both read in O(1) without the checksum pass [decode] pays.  These trust the
     framing: they are only safe on records the engine itself appended
     (the in-memory journals hold exactly what [encode] produced).
     Recovery uses them to locate the replay suffix and rebuild indexes

@@ -357,13 +357,27 @@ let test_single_shard_delegates () =
   check Alcotest.int "restarts" direct.Server.restarts via.Shard.restarts;
   check Alcotest.int "lock acquires" direct.Server.lock_acquires via.Shard.lock_acquires;
   check Alcotest.int "cross" 0 via.Shard.cross_committed;
-  (match via.Shard.serial with
-  | Some s ->
-    check Alcotest.int "max_inflight" direct.Server.max_inflight s.Server.max_inflight;
-    check Alcotest.int "max_queued" direct.Server.max_queued s.Server.max_queued
-  | None -> Alcotest.fail "shards = 1 must expose the delegated Server result");
+  check Alcotest.int "max_inflight" direct.Server.max_inflight via.Shard.max_inflight;
+  check Alcotest.int "max_queued" direct.Server.max_queued via.Shard.max_queued;
   check Alcotest.string "engine states identical"
     (Engine_log.state_fingerprint e1) (Engine_log.state_fingerprint e2)
+
+let test_sharded_validation () =
+  let raises ?(mpl = 64) ?(op_cost_us = 1.0) arrivals_us scripts =
+    match
+      Sharded.run ~mpl ~op_cost_us ~mode:Commit_pipeline.Eager ~arrivals_us ~scripts
+        ~coordinator:(Coordinator_log.create ())
+        [| fresh_engine (); fresh_engine () |]
+    with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let one = [| 0.0 |] and get = [| [ Scheduler.Get 0 ] |] in
+  check Alcotest.bool "mpl >= 1" true (raises ~mpl:0 one get);
+  check Alcotest.bool "negative op cost" true (raises ~op_cost_us:(-5.0) one get);
+  check Alcotest.bool "nan op cost" true (raises ~op_cost_us:Float.nan one get);
+  check Alcotest.bool "length mismatch" true (raises [| 0.0; 1.0 |] get);
+  check Alcotest.bool "decreasing arrivals" true (raises [| 5.0; 1.0 |] [| []; [] |])
 
 let () =
   Alcotest.run "dbm_storage sharded execution"
@@ -386,5 +400,6 @@ let () =
             test_sharded_cross_counted;
           Alcotest.test_case "one shard delegates to Server" `Quick
             test_single_shard_delegates;
+          Alcotest.test_case "validation" `Quick test_sharded_validation;
         ] );
     ]

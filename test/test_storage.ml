@@ -229,11 +229,6 @@ let sample_records =
     Wal.Fuzzy_checkpoint { lsn = 17; start_lsn = 17; active = []; dirty = [] };
   ]
 
-(* Every record shape that predates the codec; [encode_legacy] still
-   produces the old fixed-width framing for them. *)
-let legacy_shapes =
-  List.filter (function Wal.Delta _ | Wal.Op _ -> false | _ -> true) sample_records
-
 let test_wal_roundtrip () =
   List.iter
     (fun r ->
@@ -255,35 +250,31 @@ let test_wal_truncated () =
   | exception Wal.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated record accepted"
 
-let test_wal_legacy_roundtrip () =
-  (* journals written before the codec change must still decode: the
-     uppercase-tag legacy framing is dispatched on the tag byte *)
-  List.iter
-    (fun r ->
-      let r' = Wal.decode (Wal.encode_legacy r) in
-      if r <> r' then
-        Alcotest.failf "legacy roundtrip failed for %s" (Format.asprintf "%a" Wal.pp r))
-    legacy_shapes;
-  match Wal.encode_legacy (Wal.Op { lsn = 1; txn = 1; key = 0; value = None }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "legacy encoding of a post-codec shape accepted"
+let test_wal_uppercase_tag_corrupt () =
+  (* A well-formed record of the retired pre-codec framing: uppercase
+     tag, fixed 8-byte fields, 31-polynomial checksum.  It is no longer
+     a format. *)
+  let field v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    Bytes.to_string b
+  in
+  let body = "C" ^ field 1 ^ field 2 in
+  let sum = String.fold_left (fun h c -> ((h * 31) + Char.code c) land 0x3FFFFFFF) 0 body in
+  match Wal.decode (body ^ field sum) with
+  | exception Wal.Corrupt _ -> ()
+  | _ -> Alcotest.fail "uppercase-tag record accepted"
 
-let test_wal_peeks_agree_across_framings () =
+let test_wal_peeks_agree_with_records () =
   List.iter
     (fun r ->
       let s = Wal.encode r in
-      check Alcotest.int "peek_lsn (codec)" (Wal.lsn r) (Wal.peek_lsn s);
-      check (Alcotest.option Alcotest.int) "peek_txn (codec)" (Wal.txn_of r) (Wal.peek_txn s);
-      check Alcotest.bool "peek fuzzy (codec)"
+      check Alcotest.int "peek_lsn" (Wal.lsn r) (Wal.peek_lsn s);
+      check (Alcotest.option Alcotest.int) "peek_txn" (Wal.txn_of r) (Wal.peek_txn s);
+      check Alcotest.bool "peek fuzzy"
         (match r with Wal.Fuzzy_checkpoint _ -> true | _ -> false)
         (Wal.peek_is_fuzzy_checkpoint s))
-    sample_records;
-  List.iter
-    (fun r ->
-      let s = Wal.encode_legacy r in
-      check Alcotest.int "peek_lsn (legacy)" (Wal.lsn r) (Wal.peek_lsn s);
-      check (Alcotest.option Alcotest.int) "peek_txn (legacy)" (Wal.txn_of r) (Wal.peek_txn s))
-    legacy_shapes
+    sample_records
 
 let test_wal_encode_allocation_bounded () =
   (* the scratch-buffer encoder's one allocation per record is the
@@ -696,9 +687,8 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
-          Alcotest.test_case "legacy roundtrip" `Quick test_wal_legacy_roundtrip;
-          Alcotest.test_case "peeks agree across framings" `Quick
-            test_wal_peeks_agree_across_framings;
+          Alcotest.test_case "uppercase tag is corrupt" `Quick test_wal_uppercase_tag_corrupt;
+          Alcotest.test_case "peeks agree with records" `Quick test_wal_peeks_agree_with_records;
           Alcotest.test_case "checksum" `Quick test_wal_checksum_detects_corruption;
           Alcotest.test_case "truncated" `Quick test_wal_truncated;
           Alcotest.test_case "accessors" `Quick test_wal_accessors;
